@@ -50,10 +50,12 @@ type stats = {
   mutable frames : int;
   ticks : Vec.t;  (** self time of each timer-bearing quantum *)
   mutable flow_peak : int;
-  window_busy : Vec.t;  (** router busy ns in each simulated second *)
-  window_frames : Vec.t;  (** frames per busy second, each simulated second *)
-  mutable last_busy : int;
-  mutable last_frames : int;
+  mutable wall_ns : int;  (** wall time of the measured stretches *)
+  mutable quanta : int;
+  log : Vec.t;
+      (** per measured stretch, [log_width] values: the probe ns before
+          and after it, its quanta, timer ns, entry ns, frames, and 1 if
+          it ends on a simulated second (it holds the 1 s timers) *)
   (* traced only: rx calls classified by outcome *)
   hit_small : Acct.acc;  (** LAN batches of 64 B frames that all hit *)
   hit_large : Acct.acc;  (** ... of 1500 B frames *)
@@ -73,10 +75,9 @@ let new_stats () =
     frames = 0;
     ticks = Vec.create ();
     flow_peak = 0;
-    window_busy = Vec.create ();
-    window_frames = Vec.create ();
-    last_busy = 0;
-    last_frames = 0;
+    wall_ns = 0;
+    quanta = 0;
+    log = Vec.create ();
     hit_small = Acct.acc ();
     hit_large = Acct.acc ();
     upstream_rx = Acct.acc ();
@@ -86,6 +87,7 @@ let new_stats () =
   }
 
 let capture_limit = 4096
+let log_width = 7
 
 (* Latency samples (ns), in arrival order. *)
 type samples = {
@@ -107,16 +109,15 @@ let new_samples () =
     fed_query = Vec.create ();
   }
 
-let busy_ns s = Array.fold_left (fun a c -> a + c.Acct.ns) s.timer.Acct.ns s.cls
+let sample_vecs s = [ s.first_packet; s.dns; s.join; s.query; s.policy; s.fed_query ]
+let entry_ns s = Array.fold_left (fun a c -> a + c.Acct.ns) 0 s.cls
+let busy_ns s = s.timer.Acct.ns + entry_ns s
 
 type t = {
   rloop : EL.t;
   dloop : EL.t;
   mutable k : int;  (** quanta advanced *)
   mutable traced : bool;
-  mutable timers_anywhere : bool;
-      (** routers have timers off the integer seconds (fleet agents):
-          time every quantum *)
   mutable st : stats;
   mutable sm : samples;
   mutable homes : home list;
@@ -157,7 +158,6 @@ let create ?(traced = false) () =
     dloop = EL.create ~metrics:(Hw_metrics.Registry.create ()) ();
     k = 0;
     traced;
-    timers_anywhere = false;
     st = new_stats ();
     sm = new_samples ();
     homes = [];
@@ -221,11 +221,14 @@ let capture q item = if Queue.length q < capture_limit then Queue.push item q
    inputs kept for the replays. *)
 let traced_rx home ~cls ~port ~items frames f =
   let st = home.h.st in
-  let pi0 = home.m_packet_ins () and m0 = home.m_misses () in
+  let pi0 = ref 0 and m0 = ref 0 in
+  sim home.h (fun () ->
+      pi0 := home.m_packet_ins ();
+      m0 := home.m_misses ());
   let self = f () in
   let missed = ref false in
   sim home.h (fun () ->
-      missed := home.m_misses () - m0 > 0;
+      missed := home.m_misses () - !m0 > 0;
       List.iter
         (fun fr ->
           capture st.capture fr;
@@ -235,7 +238,7 @@ let traced_rx home ~cls ~port ~items frames f =
       (* a first packet, tagged or found by its packet-in *)
       if
         (cls = c_rx_first || (cls = c_rx_data && port <> R.upstream_port))
-        && home.m_packet_ins () - pi0 > 0
+        && home.m_packet_ins () - !pi0 > 0
       then Acct.add st.new_flow ~ns:self ~items);
   (self, !missed)
 
@@ -384,33 +387,19 @@ let add_device home ?(seed = 1) (cfg : Hw_sim.Device.config) =
 let advance h =
   let k = h.k + 1 in
   let t1 = float_of_int k *. quantum in
-  let second = k land 1023 = 0 in
-  if h.timers_anywhere || second then begin
-    let self = Acct.region (fun () -> EL.run_until h.rloop t1) in
-    Acct.add h.st.timer ~ns:self ~items:1;
-    if second then begin
-      let st = h.st in
-      let busy = busy_ns st in
-      let b = busy - st.last_busy and f = st.frames - st.last_frames in
-      if b > 0 then begin
-        Vec.push st.window_busy (float_of_int b);
-        Vec.push st.window_frames (float_of_int f /. (float_of_int b /. 1e9))
-      end;
-      st.last_busy <- busy;
-      st.last_frames <- st.frames;
-      if h.traced then Vec.push h.st.ticks (float_of_int self);
-      List.iter
-        (fun home -> h.st.flow_peak <- max h.st.flow_peak (R.flows_installed home.router))
-        h.homes
-    end
-  end
-  else EL.run_until h.rloop t1;
+  let self = Acct.region (fun () -> EL.run_until h.rloop t1) in
+  Acct.add h.st.timer ~ns:self ~items:1;
+  if k land 1023 = 0 then begin
+    if h.traced then Vec.push h.st.ticks (float_of_int self);
+    List.iter
+      (fun home -> h.st.flow_peak <- max h.st.flow_peak (R.flows_installed home.router))
+      h.homes
+  end;
   sim h (fun () -> EL.run_until h.dloop t1);
   h.k <- k
 
 (* One quantum. Traced, the quantum is a region of its own: what its
-   timed parts leave over (advancing the router loop through quanta
-   without timers, the bookkeeping above) is loop overhead. *)
+   timed parts leave over (the bookkeeping above) is loop overhead. *)
 let step h =
   if h.traced then begin
     Acct.enter ();
@@ -419,10 +408,26 @@ let step h =
   end
   else advance h
 
+(* Loop overhead per quantum: the self time of a traced quantum on a
+   harness with nothing in it. *)
+let bookkeeping_ns () =
+  let h = create ~traced:true () in
+  let n = 1 lsl 17 in
+  for _ = 1 to n do
+    step h
+  done;
+  float_of_int h.st.loop_ns /. float_of_int n
+
+(* A quantum outside the measured run: during a timed set-up, it ends a
+   piece of it. *)
+let step_unmeasured h =
+  step h;
+  if !Acct.Pieces.on then Acct.Pieces.mark ()
+
 let run_for h seconds =
   let target = h.k + int_of_float (Float.round (seconds /. quantum)) in
   while h.k < target do
-    step h
+    step_unmeasured h
   done
 
 (* Advance until [cond ()] holds, at most [within] virtual seconds;
@@ -430,7 +435,7 @@ let run_for h seconds =
 let run_until_cond h ~within cond =
   let limit = h.k + int_of_float (within /. quantum) in
   while (not (cond ())) && h.k < limit do
-    step h
+    step_unmeasured h
   done;
   cond ()
 
@@ -440,13 +445,39 @@ type co = { ch : t; per_step : float; mutable due : float }
 
 let co ch ~per_step = { ch; per_step; due = 0. }
 
+let stretch_ns = 500_000
+
 (* Advance [sim_seconds] of virtual time, or until [wall_cap] seconds
-   of wall time have passed, whichever comes first. *)
-let run_measured ?(co = []) h ~sim_seconds ~wall_cap =
+   of wall time have passed, whichever comes first, in stretches of at
+   most 64 quanta and about [stretch_ns] of wall time that never cross a
+   simulated second. With [traced_st], half of the simulated seconds,
+   picked by a hash of their number so that no periodic work of the
+   workload falls in one half only, run traced on those stats and the
+   others untraced on [h.st]: both halves see the same router state and
+   the same host. Each stretch is logged, and the latency samples taken
+   in it tagged, with the slower of the probes around it. *)
+let run_measured ?(co = []) ?traced_st h ~sim_seconds ~wall_cap =
   let target = h.k + int_of_float (Float.round (sim_seconds /. quantum)) in
   let deadline = Acct.now_ns () + int_of_float (wall_cap *. 1e9) in
+  let plain = h.st in
+  let vecs = Array.of_list (List.concat_map (fun c -> sample_vecs c.ch.sm) co @ sample_vecs h.sm) in
+  let probe_before = ref (Acct.probe_ns ()) in
   while h.k < target && Acct.now_ns () < deadline do
-    for _ = 1 to min 64 (target - h.k) do
+    let st =
+      match traced_st with
+      | Some t when Hashtbl.hash (h.k lsr 10) land 1 = 1 ->
+          h.traced <- true;
+          t
+      | _ ->
+          h.traced <- false;
+          plain
+    in
+    h.st <- st;
+    let k0 = h.k and timer0 = st.timer.Acct.ns and entry0 = entry_ns st in
+    let frames0 = st.frames in
+    let t0 = Acct.now_ns () in
+    let until = t0 + stretch_ns in
+    let rec go () =
       step h;
       if co <> [] then begin
         Acct.enter ();
@@ -459,7 +490,90 @@ let run_measured ?(co = []) h ~sim_seconds ~wall_cap =
             done)
           co;
         (* whole duration: the calls nested here are the other harness's *)
-        h.st.co_ns <- h.st.co_ns + Acct.leave_total ()
+        st.co_ns <- st.co_ns + Acct.leave_total ()
+      end;
+      if h.k < target && h.k land 1023 <> 0 && h.k - k0 < 64 && Acct.now_ns () < until then go ()
+    in
+    go ();
+    st.wall_ns <- st.wall_ns + (Acct.now_ns () - t0);
+    st.quanta <- st.quanta + (h.k - k0);
+    let probe_after = Acct.probe_ns () in
+    Array.iter (fun v -> Vec.tag v (float_of_int (max !probe_before probe_after))) vecs;
+    List.iter
+      (fun x -> Vec.push st.log (float_of_int x))
+      [
+        !probe_before;
+        probe_after;
+        h.k - k0;
+        st.timer.Acct.ns - timer0;
+        entry_ns st - entry0;
+        st.frames - frames0;
+        (if h.k land 1023 = 0 then 1 else 0);
+      ];
+    probe_before := probe_after
+  done;
+  h.st <- plain;
+  h.traced <- false
+
+(* Per simulated second, over the quiet stretches of [st]'s log: those
+   whose slower probe is within the tightest slack that leaves
+   [min_stretches] of them, [min_stretches / 10] of them holding the 1 s
+   timers. Long stretches are likelier to see the host change and be
+   left out, and the stretch that holds the 1 s timers is the longest of
+   its second; so the two kinds are averaged apart, and a simulated
+   second is one timer stretch plus the rest of its quanta at the other
+   stretches' rate. *)
+type quiet = {
+  slack : float;
+  share : float;  (** of the stretches *)
+  timer_ns : float;
+  entry_ns : float;
+  frames : float;
+}
+
+let min_stretches = 200
+
+let quiet_totals st =
+  let n = Vec.length st.log / log_width in
+  let field i j = Vec.get st.log ((i * log_width) + j) in
+  let probe i = Float.max (field i 0) (field i 1) in
+  let count ?timers limit =
+    let c = ref 0 in
+    for i = 0 to n - 1 do
+      if probe i <= limit && (timers = None || Some (field i 6) = timers) then incr c
+    done;
+    !c
+  in
+  let slack =
+    Acct.pick_slack ~min:min_stretches (fun limit ->
+        min (count ~timers:0. limit) (10 * count ~timers:1. limit))
+  in
+  let limit = slack *. float_of_int !Acct.fastest_probe in
+  (* over the quiet stretches that do ([timers] = 1.) or do not hold the
+     1 s timers: the sum of field [j], and their number *)
+  let sum timers j =
+    let t = ref 0. and c = ref 0. in
+    for i = 0 to n - 1 do
+      if probe i <= limit && field i 6 = timers then begin
+        t := !t +. field i j;
+        c := !c +. 1.
       end
-    done
-  done
+    done;
+    (!t, !c)
+  in
+  let mean timers j =
+    let t, c = sum timers j in
+    if c = 0. then 0. else t /. c
+  in
+  let rest_quanta = 1024. -. mean 1. 2 and other_quanta, _ = sum 0. 2 in
+  let per_sim_s j =
+    let other, _ = sum 0. j in
+    mean 1. j +. if other_quanta = 0. then 0. else rest_quanta *. other /. other_quanta
+  in
+  {
+    slack;
+    share = (if n = 0 then 0. else float_of_int (count limit) /. float_of_int n);
+    timer_ns = per_sim_s 3;
+    entry_ns = per_sim_s 4;
+    frames = per_sim_s 5;
+  }
