@@ -537,24 +537,39 @@ let quiet_totals st =
   let n = Vec.length st.log / log_width in
   let field i j = Vec.get st.log ((i * log_width) + j) in
   let probe i = Float.max (field i 0) (field i 1) in
-  let count ?timers limit =
+  let count timers limit =
     let c = ref 0 in
     for i = 0 to n - 1 do
-      if probe i <= limit && (timers = None || Some (field i 6) = timers) then incr c
+      if probe i <= limit && field i 6 = timers then incr c
     done;
     !c
   in
   let slack =
-    Acct.pick_slack ~min:min_stretches (fun limit ->
-        min (count ~timers:0. limit) (10 * count ~timers:1. limit))
+    Acct.pick_slack ~min:min_stretches (fun limit -> min (count 0. limit) (10 * count 1. limit))
   in
-  let limit = slack *. float_of_int !Acct.fastest_probe in
-  (* over the quiet stretches that do ([timers] = 1.) or do not hold the
-     1 s timers: the sum of field [j], and their number *)
+  (* the probe limit for the stretches that do ([timers] = 1.) or do not
+     hold the 1 s timers; when no slack leaves enough of them, that of the
+     quietest [min_stretches] of each kind ([min_stretches / 10] of the
+     timer ones) *)
+  let limit_of timers =
+    if Float.is_finite slack then slack *. float_of_int !Acct.fastest_probe
+    else begin
+      let tags = Vec.create () in
+      for i = 0 to n - 1 do
+        if field i 6 = timers then Vec.push tags (probe i)
+      done;
+      let k = if timers = 1. then min_stretches / 10 else min_stretches in
+      Vec.percentile tags (float_of_int k /. float_of_int (max 1 (Vec.length tags)))
+    end
+  in
+  let timer_limit = limit_of 1. and other_limit = limit_of 0. in
+  let quiet i = probe i <= if field i 6 = 1. then timer_limit else other_limit in
+  (* over the quiet stretches that do or do not hold the 1 s timers: the
+     sum of field [j], and their number *)
   let sum timers j =
     let t = ref 0. and c = ref 0. in
     for i = 0 to n - 1 do
-      if probe i <= limit && field i 6 = timers then begin
+      if quiet i && field i 6 = timers then begin
         t := !t +. field i j;
         c := !c +. 1.
       end
@@ -572,7 +587,7 @@ let quiet_totals st =
   in
   {
     slack;
-    share = (if n = 0 then 0. else float_of_int (count limit) /. float_of_int n);
+    share = (if n = 0 then 0. else (snd (sum 0. 2) +. snd (sum 1. 2)) /. float_of_int n);
     timer_ns = per_sim_s 3;
     entry_ns = per_sim_s 4;
     frames = per_sim_s 5;

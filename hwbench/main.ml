@@ -357,7 +357,7 @@ let () =
         ("join_us_p50", "us", us join 0.5);
         ("join_us_p90", "us", us join 0.9);
         ("query_us_p50", "us", us query 0.5);
-        ("query_us_p90", "us", us query 0.9);
+        ("query_us_p95", "us", us query 0.95);
         ("policy_us_p50", "us", us policy 0.5);
         ("fed_query_ms_p50", "ms", ms fed 0.5);
         ("fed_query_ms_p90", "ms", ms fed 0.9);
