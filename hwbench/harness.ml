@@ -522,7 +522,10 @@ let run_measured ?(co = []) ?traced_st h ~sim_seconds ~wall_cap =
    left out, and the stretch that holds the 1 s timers is the longest of
    its second; so the two kinds are averaged apart, and a simulated
    second is one timer stretch plus the rest of its quanta at the other
-   stretches' rate. *)
+   stretches' rate. Taking the few quietest stretches instead, as the
+   latencies do with their samples, favoured short, light stretches (two
+   probes close in time are more often both quiet) and biased the rates
+   low: they then spread 0.24-0.37 over five seeds. *)
 type quiet = {
   slack : float;
   share : float;  (** of the stretches *)
