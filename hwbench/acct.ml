@@ -91,20 +91,21 @@ module Vec = struct
     done;
     v.tagged <- v.n
 
-  (* The [k] tagged samples with the lowest tags (all of them when
-     fewer), and the highest of their tags. *)
+  (* The tagged samples whose tag is at most [limit]. *)
+  let tagged_upto v limit =
+    let r = create () in
+    for i = 0 to v.tagged - 1 do
+      if v.tags.(i) <= limit then push r v.a.(i)
+    done;
+    r
+
+  (* The [k] tagged samples with the lowest tags. *)
   let lowest_tagged v k =
     let idx = Array.init v.tagged (fun i -> i) in
     Array.stable_sort (fun i j -> Float.compare v.tags.(i) v.tags.(j)) idx;
-    let r = create () and worst = ref 0. in
-    Array.iteri
-      (fun rank i ->
-        if rank < k then begin
-          push r v.a.(i);
-          worst := v.tags.(i)
-        end)
-      idx;
-    (r, !worst)
+    let r = create () in
+    Array.iteri (fun rank i -> if rank < k then push r v.a.(i)) idx;
+    r
 end
 
 (* Running total of self time and call count for one class of calls. *)
@@ -127,12 +128,10 @@ let per_call a = if a.calls = 0 then 0. else float_of_int a.ns /. float_of_int a
    statistic over all of a run's samples. [probe_ns] times a fixed,
    allocation-free kernel of about 4 us that touches only a 2 KiB array,
    warmed first, so its time depends on how much of the core the
-   benchmark has, not on the router's state. Work is measured in short
-   stretches, each tagged with the slower of the probes just before and
-   just after it. Latencies are taken over the samples with the fastest
-   tags; rates over the stretches whose tag is within the tightest slack
-   of [slacks] over the fastest probe seen that still leaves enough of
-   them (see [Harness.quiet_totals] for why not the fastest few). *)
+   benchmark has, not on the router's state. Work is measured in short stretches, each tagged
+   with the slower of the probes just before and just after it; the
+   end-to-end metrics are taken over the stretches whose tag is within
+   [slack] of the fastest probe seen, when that leaves enough of them. *)
 let probe_array = Array.init 256 (fun i -> i)
 
 let kernel reps =
@@ -190,26 +189,25 @@ let save_fastest_probe () =
       Sys.rename tmp f
   | None -> ()
 
-let slacks = [ 1.1; 1.25; 1.5 ]
+(* Samples and stretches whose probe ran within [slack] times the
+   fastest are quiet. A ladder of slacks (1.10, else 1.25, else 1.5) was
+   tried first: each run then took the tightest that left enough quiet
+   samples, and its figures jumped by 15-30% with the slack it could
+   afford. *)
+let slack = 1.25
 
-(* The tightest of [slacks] under which [count limit] (how many
-   stretches have a probe of at most [limit] ns) reaches [min]; infinity
-   when none does. *)
+(* [slack] when [count limit] (how many samples or stretches have a
+   probe of at most [limit] ns) reaches [min]; infinity otherwise. *)
 let pick_slack ~min count =
-  let rec go = function
-    | [] -> Float.infinity
-    | slack :: rest ->
-        if count (slack *. float_of_int !fastest_probe) >= min then slack else go rest
-  in
-  go slacks
+  if count (slack *. float_of_int !fastest_probe) >= min then slack else Float.infinity
 
-(* The [n] samples of [v] with the quietest stretches, and the slowest
-   probe among them over the fastest. Taking instead every sample within
-   a slack made a run's latencies jump by 15-30% with the slack it could
-   afford (1.10 or 1.25). *)
-let quiet_samples n v =
-  let q, worst = Vec.lowest_tagged v n in
-  (q, worst /. float_of_int !fastest_probe)
+(* The samples of [v] from quiet stretches when there are [min] of them,
+   and [slack]; otherwise the [min] samples with the quietest stretches,
+   and infinity. *)
+let quiet_samples ~min v =
+  let slack = pick_slack ~min (fun limit -> Vec.length (Vec.tagged_upto v limit)) in
+  if Float.is_finite slack then (Vec.tagged_upto v (slack *. float_of_int !fastest_probe), slack)
+  else (Vec.lowest_tagged v min, slack)
 
 (* Set-up time, in pieces. One set-up lasts 3-20 ms, longer than most
    quiet stretches of a busy host, so a whole set-up seldom runs quiet.
@@ -248,11 +246,21 @@ module Pieces = struct
     on := false;
     !cur
 
-  (* The set-up seconds over the repeats [setups] (each a [stop] result,
-     all cut into as many pieces): the sum over the pieces of the median
-     of each piece's [n] quietest repeats; and the slowest probe among
-     those over the fastest. *)
-  let estimate n setups =
+  (* The fewest quiet repeats any piece of [setups] (each a [stop]
+     result, all cut into as many pieces) has. *)
+  let fewest_quiet setups =
+    let limit = slack *. float_of_int !fastest_probe in
+    let fewest = ref max_int in
+    for i = 0 to Vec.length (List.hd setups) - 1 do
+      let c = List.fold_left (fun c v -> if v.Vec.tags.(i) <= limit then c + 1 else c) 0 setups in
+      fewest := min !fewest c
+    done;
+    !fewest
+
+  (* The set-up seconds over the repeats [setups]: the sum over the
+     pieces of the median of each piece's quiet repeats; and the loosest
+     slack any piece needed. *)
+  let estimate ~min setups =
     let total = ref 0. and loosest = ref 0. in
     for i = 0 to Vec.length (List.hd setups) - 1 do
       let piece = Vec.create () in
@@ -261,7 +269,7 @@ module Pieces = struct
           Vec.push piece (Vec.get v i);
           Vec.tag piece v.Vec.tags.(i))
         setups;
-      let quiet, slack = quiet_samples n piece in
+      let quiet, slack = quiet_samples ~min piece in
       total := !total +. Vec.median quiet;
       loosest := Float.max !loosest slack
     done;

@@ -516,16 +516,13 @@ let run_measured ?(co = []) ?traced_st h ~sim_seconds ~wall_cap =
   h.traced <- false
 
 (* Per simulated second, over the quiet stretches of [st]'s log: those
-   whose slower probe is within the tightest slack that leaves
-   [min_stretches] of them, [min_stretches / 10] of them holding the 1 s
-   timers. Long stretches are likelier to see the host change and be
+   whose slower probe is within [Acct.slack] of the fastest, when that
+   leaves [min_stretches] of them, [min_stretches / 10] of them holding
+   the 1 s timers. Long stretches are likelier to see the host change and be
    left out, and the stretch that holds the 1 s timers is the longest of
    its second; so the two kinds are averaged apart, and a simulated
    second is one timer stretch plus the rest of its quanta at the other
-   stretches' rate. Taking the few quietest stretches instead, as the
-   latencies do with their samples, favoured short, light stretches (two
-   probes close in time are more often both quiet) and biased the rates
-   low: they then spread 0.24-0.37 over five seeds. *)
+   stretches' rate. *)
 type quiet = {
   slack : float;
   share : float;  (** of the stretches *)

@@ -32,7 +32,7 @@ let workload_cap = 0.8
 let probe_cap = 0.55
 let setup_repeats = 15
 
-(* Seconds spent on more set-ups after the run (see below). *)
+(* Seconds spent at most on set-ups after the run (see below). *)
 let extra_setup_s = 2.
 
 (* Federated queries on the small fleet per 5 s of run. *)
@@ -130,10 +130,10 @@ let measure ?(co = []) ?traced_st (run : W.run) ~workload ~seconds =
 
 let busy_ns (q : H.quiet) = q.H.timer_ns +. q.H.entry_ns
 
-(* The number of quietest latency samples a percentile is taken over,
-   and of quietest repeats each piece of the set-up is the median of. *)
-let quiet_latencies = 200
-let quiet_setups = 5
+(* Latency samples a percentile is taken over, and repeats each piece
+   of the set-up is the median of, at least, when that many were taken. *)
+let min_samples = 200
+let setup_min = 5
 
 (* ------------------------------------------------------------------ *)
 (* Layer replays on the traced run's captured inputs                    *)
@@ -309,7 +309,7 @@ let () =
     in
     let slacks = ref [] in
     let quiet name v =
-      let v, slack = Acct.quiet_samples quiet_latencies v in
+      let v, slack = Acct.quiet_samples ~min:min_samples v in
       slacks := (name, slack) :: !slacks;
       v
     in
@@ -324,15 +324,15 @@ let () =
     let fed = quiet "fed_query" fleet.Fleet.h.H.sm.H.fed_query in
     let q = H.quiet_totals s and probe_q = H.quiet_totals probe_st in
     slacks := ("stretches", q.H.slack) :: !slacks;
-    (* the set-ups above ran in one stretch of the host's load, which may
-       have been busy throughout: set up again, after the run, for
-       [extra_setup_s] *)
+    (* a busy host can keep some piece of the set-ups above from running
+       quiet often enough: set up again, after the run, until every piece
+       has run quiet [setup_min] times, for at most [extra_setup_s] *)
     let pieces = Vec.length (List.hd !setups) in
     let same_pieces () = List.for_all (fun v -> Vec.length v = pieces) !setups in
     let until = Acct.now_ns () + int_of_float (extra_setup_s *. 1e9) in
     let attempted = D.ledger.D.attempted and failed = D.ledger.D.failed in
     let notes = D.ledger.D.notes in
-    while same_pieces () && Acct.now_ns () < until do
+    while same_pieces () && Acct.Pieces.fewest_quiet !setups < setup_min && Acct.now_ns () < until do
       ignore (time_setup ())
     done;
     D.ledger.D.attempted <- attempted;
@@ -341,7 +341,7 @@ let () =
     (* the pieces line up only if every set-up ran the same quanta *)
     if not (same_pieces ()) then D.fail "set-ups of one seed ran different numbers of quanta";
     let setup_s, setup_slack =
-      Acct.Pieces.estimate quiet_setups (List.filter (fun v -> Vec.length v = pieces) !setups)
+      Acct.Pieces.estimate ~min:setup_min (List.filter (fun v -> Vec.length v = pieces) !setups)
     in
     slacks := ("setup", setup_slack) :: !slacks;
     let metrics =
