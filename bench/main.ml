@@ -481,6 +481,31 @@ let micro_tests () =
         (cap, db))
       [ 1024; 16384; 65536 ]
   in
+  (* an idle router's tick: a router-sized registry and a full 128-trace
+     flight recorder behind the Metrics and Traces exports, and no
+     reader, so the tick must not render either *)
+  let idle_db =
+    let now = ref 0. in
+    let metrics = Hw_metrics.Registry.create () in
+    for i = 0 to 95 do
+      Hw_metrics.Counter.incr
+        (Hw_metrics.Registry.counter metrics (Printf.sprintf "bench_events_%d_total" i))
+    done;
+    for i = 0 to 11 do
+      Hw_metrics.Histogram.observe
+        (Hw_metrics.Registry.histogram metrics (Printf.sprintf "bench_latency_%d_seconds" i))
+        1e-4
+    done;
+    let trace = Hw_trace.Tracer.create ~capacity:128 ~metrics ~now:(fun () -> !now) () in
+    for _ = 1 to 128 do
+      Hw_trace.Tracer.with_trace trace "bench.root" (fun () ->
+          for _ = 1 to 3 do
+            Hw_trace.Tracer.with_span trace "bench.span" (fun () -> ())
+          done)
+    done;
+    let db = Hw_hwdb.Database.create ~metrics ~trace ~now:(fun () -> !now) () in
+    (now, db)
+  in
   let window_scan_tests =
     List.concat_map
       (fun (cap, db) ->
@@ -501,6 +526,11 @@ let micro_tests () =
       window_dbs
   in
     [
+      Test.make ~name:"database_tick_idle_exports"
+        (let now, db = idle_db in
+         Staged.stage (fun () ->
+             now := !now +. 1.;
+             Hw_hwdb.Database.tick db));
       Test.make ~name:"insert"
         (Staged.stage (fun () ->
              Hw_hwdb.Database.record_flow db ~proto:6 ~src_ip:"10.0.0.100"

@@ -14,6 +14,8 @@ type conn = {
   mutable alive : bool;
   mutable last_heard : float;
   stats_waiters : (int32, Ofp_message.stats_reply -> unit) Hashtbl.t;
+  (* parts of multipart stats replies received so far, newest first *)
+  stats_parts : (int32, Ofp_message.stats_reply list) Hashtbl.t;
   barrier_waiters : (int32, unit -> unit) Hashtbl.t;
 }
 
@@ -115,6 +117,7 @@ let attach_switch t ~send =
       alive = true;
       last_heard = t.now ();
       stats_waiters = Hashtbl.create 8;
+      stats_parts = Hashtbl.create 8;
       barrier_waiters = Hashtbl.create 8;
     }
   in
@@ -232,11 +235,18 @@ let handle_message t conn xid msg =
   | Ofp_message.Port_status (reason, port) ->
       Hw_metrics.Counter.incr t.m_port_status;
       List.iter (fun (_, f) -> f conn reason port) t.port_status_handlers
-  | Ofp_message.Stats_reply reply -> (
+  | Ofp_message.Stats_reply_more part ->
+      if Hashtbl.mem conn.stats_waiters xid then
+        Hashtbl.replace conn.stats_parts xid
+          (part :: Option.value (Hashtbl.find_opt conn.stats_parts xid) ~default:[])
+      else Log.debug (fun m -> m "unsolicited stats reply part xid=%ld" xid)
+  | Ofp_message.Stats_reply last -> (
+      let parts = Option.value (Hashtbl.find_opt conn.stats_parts xid) ~default:[] in
+      Hashtbl.remove conn.stats_parts xid;
       match Hashtbl.find_opt conn.stats_waiters xid with
       | Some callback ->
           Hashtbl.remove conn.stats_waiters xid;
-          callback reply
+          callback (Ofp_message.join_stats_replies (List.rev (last :: parts)))
       | None -> Log.debug (fun m -> m "unsolicited stats reply xid=%ld" xid))
   | Ofp_message.Barrier_reply -> (
       match Hashtbl.find_opt conn.barrier_waiters xid with

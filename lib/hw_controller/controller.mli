@@ -84,7 +84,9 @@ val send_packet : conn -> ?in_port:int -> string -> Ofp_action.t list -> unit
 (** Convenience packet-out carrying [data]. *)
 
 val request_stats : conn -> Ofp_message.stats_request -> (Ofp_message.stats_reply -> unit) -> unit
-(** The callback fires when the reply with the matching xid arrives. *)
+(** The callback fires once, when the reply with the matching xid has
+    fully arrived: the parts of a multipart reply ([OFPSF_REPLY_MORE])
+    are accumulated and handed over joined, on the last part. *)
 
 val barrier : conn -> (unit -> unit) -> unit
 

@@ -570,7 +570,9 @@ let handle_stats_request t xid req =
                })
              (List.sort (fun a b -> compare a.config.port_no b.config.port_no) selected))
   in
-  send_with_xid t xid (Ofp_message.Stats_reply reply)
+  (* a flow-stats reply over one message's u16 length goes out in
+     OFPSF_REPLY_MORE parts under the request's xid *)
+  List.iter (send_with_xid t xid) (Ofp_message.stats_reply_parts reply)
 
 let handle_packet_out t xid po =
   let frame =
@@ -658,7 +660,7 @@ let handle_message t xid msg =
       Log.warn (fun m -> m "error from controller: code=%d" e.Ofp_message.err_code)
   | Ofp_message.Features_reply _ | Ofp_message.Get_config_reply _ | Ofp_message.Packet_in _
   | Ofp_message.Flow_removed _ | Ofp_message.Port_status _ | Ofp_message.Stats_reply _
-  | Ofp_message.Barrier_reply ->
+  | Ofp_message.Stats_reply_more _ | Ofp_message.Barrier_reply ->
       Log.warn (fun m -> m "unexpected controller-bound message %s" (Ofp_message.type_name msg))
 
 let input_from_controller t bytes =

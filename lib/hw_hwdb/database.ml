@@ -37,6 +37,18 @@ type trigger = {
 
 module Tracer = Hw_trace.Tracer
 
+(* An export: a table rendered from in-memory state (the metrics
+   registry, the flight recorder) instead of being fed by inserts. A
+   tick only makes it stale; the first plan that reads it afterwards
+   renders one batch stamped with that reader's clock, and every later
+   read in the same tick reuses the batch. *)
+type export = {
+  x_table : Table.t;
+  x_render : now:float -> unit;
+  mutable x_gen : int; (* tick generation of the last render *)
+  mutable x_stamp : float; (* timestamp of the last batch *)
+}
+
 type t = {
   now : unit -> float;
   trace : Tracer.t;
@@ -62,6 +74,7 @@ type t = {
   (* durable tables' logs, in declaration order; flushed (group commit)
      at the top of every tick *)
   mutable wals : (string * Hw_wal.Wal.t) list;
+  mutable exports : export list;
   metrics : Hw_metrics.Registry.t;
   m_inserts : Hw_metrics.Counter.t;
   m_insert_errors : Hw_metrics.Counter.t;
@@ -159,6 +172,7 @@ let create_empty ?(default_capacity = 4096) ?(metrics = Hw_metrics.Registry.defa
     next_trigger_id = 1;
     trigger_depth = 0;
     wals = [];
+    exports = [];
     metrics;
     m_inserts = counter ~help:"hwdb rows inserted" "hwdb_inserts_total";
     m_insert_errors = counter ~help:"hwdb inserts refused" "hwdb_insert_errors_total";
@@ -185,6 +199,80 @@ let create_empty ?(default_capacity = 4096) ?(metrics = Hw_metrics.Registry.defa
            ~every:8 "hwdb_query_seconds");
   }
 
+(* One row per (instrument, stat) into the Metrics ring, all stamped with
+   the same instant so [SELECT ... FROM Metrics [NOW]] reads one coherent
+   snapshot. Rows go through Table.insert directly: the export must not
+   count itself as database load. *)
+let render_metrics t tbl ~now =
+  List.iter
+    (fun (r : Hw_metrics.Snapshot.row) ->
+      match
+        Table.insert tbl ~now
+          [ Value.Str r.metric; Value.Str r.kind; Value.Str r.stat; Value.Real r.value ]
+      with
+      | Ok () -> ()
+      | Error msg -> Log.warn (fun m -> m "metrics export: %s" msg))
+    (Hw_metrics.Snapshot.rows t.metrics)
+
+(* Same discipline as render_metrics: one row per span of every trace
+   currently in the flight recorder, all stamped with the same instant so
+   [SELECT ... FROM Traces [NOW]] reads one coherent dump, and raw
+   Table.insert so the export neither counts as load nor re-enters the
+   tracer. *)
+let render_traces t tbl ~now =
+  if Tracer.enabled t.trace then
+    List.iter
+      (fun (c : Hw_trace.Tracer.completed) ->
+        Array.iter
+          (fun (s : Hw_trace.Tracer.span) ->
+            match
+              Table.insert tbl ~now
+                [
+                  Value.Int c.Hw_trace.Tracer.id;
+                  Value.Int s.Hw_trace.Tracer.span_id;
+                  Value.Int s.Hw_trace.Tracer.parent;
+                  Value.Str s.Hw_trace.Tracer.name;
+                  Value.Real s.Hw_trace.Tracer.start;
+                  Value.Real s.Hw_trace.Tracer.duration;
+                  Value.Str (Tracer.attrs_to_string s.Hw_trace.Tracer.attrs);
+                  Value.Str (Option.value s.Hw_trace.Tracer.error ~default:"");
+                ]
+            with
+            | Ok () -> ()
+            | Error msg -> Log.warn (fun m -> m "traces export: %s" msg))
+          c.Hw_trace.Tracer.spans)
+      (* oldest first, so under ring pressure the newest traces'
+         rows are the ones that survive *)
+      (List.rev (Tracer.traces t.trace))
+
+(* Tables of these names are exports, whichever constructor made them
+   (the fleet observer creates its own Metrics over create_empty). *)
+let export_renderers = [ ("Metrics", render_metrics); ("Traces", render_traces) ]
+
+(* Render every stale export among the tables a plan reads, before the
+   reading statement moves any counter. [now] is the reader's clock: the
+   batch must not be stamped later than the window the plan scans.
+   A second render at an instant that already has a batch is skipped,
+   so [NOW] always sees exactly one. *)
+let rec render_stale t ~now tbl = function
+  | [] -> ()
+  | x :: rest ->
+      if x.x_table == tbl && x.x_gen <> t.tick_gen then begin
+        x.x_gen <- t.tick_gen;
+        let now = now () in
+        if now > x.x_stamp then begin
+          x.x_stamp <- now;
+          x.x_render ~now
+        end
+      end;
+      render_stale t ~now tbl rest
+
+let rec render_reads t ~now = function
+  | [] -> ()
+  | tbl :: rest ->
+      render_stale t ~now tbl t.exports;
+      render_reads t ~now rest
+
 let create_table t ~name ?capacity schema =
   if Hashtbl.mem t.tables name then Error (Printf.sprintf "table %s already exists" name)
   else if schema = [] then Error "schema cannot be empty"
@@ -192,6 +280,13 @@ let create_table t ~name ?capacity schema =
     let capacity = Option.value capacity ~default:t.default_capacity in
     let table = Table.create ~name ~capacity schema in
     Hashtbl.replace t.tables name table;
+    (match List.assoc_opt name export_renderers with
+    | None -> ()
+    | Some render ->
+        (* stale from the next tick on: nothing renders before it *)
+        t.exports <-
+          { x_table = table; x_render = render t table; x_gen = t.tick_gen; x_stamp = neg_infinity }
+          :: t.exports);
     Ok table
   end
 
@@ -339,20 +434,26 @@ let cache_plan t text plan =
 (* Prepare [sel], caching the plan under [text] on success. Only
    successful prepares are cached: a statement that fails because its
    table does not exist yet must re-prepare after CREATE TABLE. *)
-let prepare_and_exec t ~text sel =
+let count_miss t =
   t.plan_misses <- t.plan_misses + 1;
-  Hw_metrics.Counter.incr t.m_plan_misses;
+  Hw_metrics.Counter.incr t.m_plan_misses
+
+let prepare_and_exec t ~text sel =
   match Plan.prepare ~lookup:(table t) sel with
   | Error msg ->
+      count_miss t;
       Hw_metrics.Counter.incr t.m_queries;
       Hw_metrics.Counter.incr t.m_query_errors;
       Error msg
   | Ok plan ->
+      render_reads t ~now:t.now (Plan.tables plan);
+      count_miss t;
       Option.iter (fun txt -> cache_plan t txt plan) text;
       exec_plan t plan
 
 let cached_select t src =
   let run plan =
+    render_reads t ~now:t.now (Plan.tables plan);
     t.plan_hits <- t.plan_hits + 1;
     Hw_metrics.Counter.incr t.m_plan_hits;
     Some (exec_plan t plan)
@@ -519,8 +620,12 @@ let release_view t key v =
 let view_result t v ~now =
   if v.v_stamp = t.tick_gen then v.v_last
   else begin
-    Hw_metrics.Counter.incr t.m_sub_evals;
     (match v.v_mode with V_unprepared _ -> install_view_mode t v | V_scan _ | V_inc _ -> ());
+    (match v.v_mode with
+    | V_unprepared _ -> ()
+    | V_scan plan -> render_reads t ~now:(fun () -> now) (Plan.tables plan)
+    | V_inc (inc, _) -> render_reads t ~now:(fun () -> now) [ Plan.Inc.table inc ]);
+    Hw_metrics.Counter.incr t.m_sub_evals;
     let r =
       match v.v_mode with
       | V_unprepared msg -> Error msg
@@ -552,68 +657,13 @@ let unsubscribe t id =
 
 let subscription_count t = Hashtbl.length t.subs
 
-(* One row per (instrument, stat) into the Metrics ring, all stamped with
-   the same instant so [SELECT ... FROM Metrics [NOW]] reads one coherent
-   snapshot. Rows go through Table.insert directly: the export must not
-   count itself as database load. *)
-let refresh_metrics t =
-  match table t "Metrics" with
-  | None -> () (* create_empty databases opt out of the export *)
-  | Some tbl ->
-      let now = t.now () in
-      List.iter
-        (fun (r : Hw_metrics.Snapshot.row) ->
-          match
-            Table.insert tbl ~now
-              [ Value.Str r.metric; Value.Str r.kind; Value.Str r.stat; Value.Real r.value ]
-          with
-          | Ok () -> ()
-          | Error msg -> Log.warn (fun m -> m "metrics refresh: %s" msg))
-        (Hw_metrics.Snapshot.rows t.metrics)
-
-(* Same discipline as refresh_metrics: one row per span of every trace
-   currently in the flight recorder, all stamped with the same instant so
-   [SELECT ... FROM Traces [NOW]] reads one coherent dump, and raw
-   Table.insert so the export neither counts as load nor re-enters the
-   tracer. *)
-let refresh_traces t =
-  if Tracer.enabled t.trace then
-    match table t "Traces" with
-    | None -> ()
-    | Some tbl ->
-        let now = t.now () in
-        List.iter
-          (fun (c : Hw_trace.Tracer.completed) ->
-            Array.iter
-              (fun (s : Hw_trace.Tracer.span) ->
-                match
-                  Table.insert tbl ~now
-                    [
-                      Value.Int c.Hw_trace.Tracer.id;
-                      Value.Int s.Hw_trace.Tracer.span_id;
-                      Value.Int s.Hw_trace.Tracer.parent;
-                      Value.Str s.Hw_trace.Tracer.name;
-                      Value.Real s.Hw_trace.Tracer.start;
-                      Value.Real s.Hw_trace.Tracer.duration;
-                      Value.Str (Tracer.attrs_to_string s.Hw_trace.Tracer.attrs);
-                      Value.Str (Option.value s.Hw_trace.Tracer.error ~default:"");
-                    ]
-                with
-                | Ok () -> ()
-                | Error msg -> Log.warn (fun m -> m "traces refresh: %s" msg))
-              c.Hw_trace.Tracer.spans)
-          (* oldest first, so under ring pressure the newest traces'
-             rows are the ones that survive *)
-          (List.rev (Tracer.traces t.trace))
-
 let tick t =
   Hw_metrics.Counter.incr t.m_ticks;
   (* group commit: durable rows buffered since the last tick reach the
      store here, before anything else observes this tick *)
   flush_wal t;
-  refresh_metrics t;
-  refresh_traces t;
   let now = t.now () in
+  (* the new generation also marks every export stale *)
   t.tick_gen <- t.tick_gen + 1;
   let due = Hashtbl.fold (fun _ s acc -> if now >= s.next_due then s :: acc else acc) t.subs [] in
   if due <> [] then

@@ -12,14 +12,28 @@
       the event stream a recovering router replays to rebuild its policy
       engine
     - [Metrics]: self-describing observability export (name, kind, stat,
-      value) refreshed from the metrics registry on every {!tick}, so the
-      measurement plane can be queried and subscribed to like any other
-      stream.
+      value) rendered from the metrics registry, so the measurement plane
+      can be queried and subscribed to like any other stream.
     - [Traces]: the tracer's flight recorder, one row per span (trace_id,
-      span_id, parent, span, start, dur, attrs, error), refreshed on every
-      {!tick} when a tracer is attached — so [SELECT ... FROM Traces [NOW]]
-      and [SUBSCRIBE ... FROM Traces] work over the UDP RPC like any other
-      stream. *)
+      span_id, parent, span, start, dur, attrs, error), rendered when a
+      tracer is attached — so [SELECT ... FROM Traces [NOW]] and
+      [SUBSCRIBE ... FROM Traces] work over the UDP RPC like any other
+      stream.
+
+    The two exports are stale-until-read: {!tick} only marks them stale,
+    and the first statement or standing query that reads a stale export
+    renders one batch, stamped with the reader's clock, before the
+    reading statement moves any counter. Later reads in the same tick
+    reuse that batch. So:
+    - nothing renders before the first tick (no export before the first
+      tick), and a tick nobody reads after costs nothing;
+    - [[NOW]] returns exactly one batch (a second render at an instant
+      that already has one is skipped);
+    - a batch holds values as of its first reader, which is at most one
+      tick later than a render at the tick itself would be.
+
+    Any table created under the name [Metrics] or [Traces] is such an
+    export, whichever constructor made the database. *)
 
 type t
 
@@ -66,8 +80,8 @@ val create_empty :
   now:(unit -> float) ->
   unit ->
   t
-(** No standard tables (for unit tests); without a [Metrics] ([Traces])
-    table, {!tick} skips the registry (flight recorder) export. *)
+(** No standard tables (for unit tests, and for the fleet observer,
+    which creates its own [Metrics] export). *)
 
 val metrics : t -> Hw_metrics.Registry.t
 (** The registry this database both reports into (hwdb_* counters) and
@@ -159,8 +173,9 @@ val unsubscribe : t -> subscription_id -> bool
 val subscription_count : t -> int
 
 val tick : t -> unit
-(** Flushes durable tables' WALs (group commit), then delivers all due
-    subscriptions against the current clock. Call once per simulated
+(** Flushes durable tables' WALs (group commit), marks the [Metrics] and
+    [Traces] exports stale (they render on their next read, not here),
+    then delivers all due subscriptions against the current clock. Call once per simulated
     second (finer is fine; periods are respected). Each view is
     evaluated at most once per tick — the first due subscriber computes
     (for incremental views: retract expired rows, assemble from

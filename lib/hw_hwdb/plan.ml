@@ -253,6 +253,7 @@ type t = {
 
 let select t = t.p_select
 let columns t = t.p_columns
+let tables t = t.p_tables
 let single_table t = match t.p_tables with [ tbl ] -> Some tbl | _ -> None
 
 (* -- streaming aggregate state (exec path) -------------------------- *)

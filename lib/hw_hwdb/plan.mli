@@ -31,6 +31,9 @@ val exec : t -> now:float -> (Query.result_set, string) result
 val select : t -> Ast.select
 val columns : t -> string list
 
+val tables : t -> Table.t list
+(** The tables the plan reads, in FROM order. *)
+
 val single_table : t -> Table.t option
 (** The scanned table when the plan reads exactly one (no join) —
     the precondition for incremental maintenance. *)

@@ -171,9 +171,10 @@ let refresh_fleet_metrics t =
 
 (* Export the manager tracer's flight recorder into the Traces table,
    incrementally: trace ids are allocated monotonically, so everything
-   newer than the high-water mark is new. (The router-side tick export
-   re-dumps the whole recorder; at fleet scale a 1k-span fleet.query
-   trace makes that unaffordable.) *)
+   newer than the high-water mark is new. (The router-side export
+   re-dumps the whole recorder for the first read after each tick;
+   at fleet scale, with a 1k-span fleet.query trace read every tick,
+   that is unaffordable.) *)
 let export_traces t =
   let fresh =
     List.filter (fun (c : Tracer.completed) -> c.id > t.last_trace_exported)
@@ -414,9 +415,10 @@ let create ?(scrape_period = 10.) ?(tick_period = 1.)
   let registry = Manager.metrics manager in
   let trace = Manager.tracer manager in
   let now () = Hw_sim.Event_loop.now loop in
-  (* the observer's own db: Metrics exports the manager registry on
-     tick; Traces is filled incrementally by export_traces (NOT the
-     tick-time full-recorder dump — see export_traces) *)
+  (* the observer's own db: Metrics exports the manager registry when
+     read; Traces is filled incrementally by export_traces (the db has
+     no tracer, so the full-recorder dump never runs — see
+     export_traces) *)
   let db = Database.create_empty ~metrics:registry ~now () in
   must_table db ~name:"Metrics" Database.metrics_schema;
   must_table db ~name:"Traces" Database.traces_schema;

@@ -11,7 +11,8 @@
     series per router.
 
     {b Tables.} The observer owns a manager-side hwdb with four tables:
-    [Metrics] (the manager's own registry, refreshed each tick),
+    [Metrics] (the manager's own registry, rendered by the first read
+    after each tick),
     [Traces] (spans of the manager's flight-recorded traces — including
     the cross-node [fleet.query] trees — exported incrementally),
     [FleetMetrics] (per-router last values plus [__fleet__] sum/max

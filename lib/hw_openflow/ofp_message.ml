@@ -209,6 +209,7 @@ type t =
   | Port_mod of port_mod
   | Stats_request of stats_request
   | Stats_reply of stats_reply
+  | Stats_reply_more of stats_reply
   | Barrier_request
   | Barrier_reply
 
@@ -229,7 +230,7 @@ let type_code = function
   | Flow_mod _ -> 14
   | Port_mod _ -> 15
   | Stats_request _ -> 16
-  | Stats_reply _ -> 17
+  | Stats_reply _ | Stats_reply_more _ -> 17
   | Barrier_request -> 18
   | Barrier_reply -> 19
 
@@ -250,7 +251,7 @@ let type_name = function
   | Flow_mod _ -> "FLOW_MOD"
   | Port_mod _ -> "PORT_MOD"
   | Stats_request _ -> "STATS_REQUEST"
-  | Stats_reply _ -> "STATS_REPLY"
+  | Stats_reply _ | Stats_reply_more _ -> "STATS_REPLY"
   | Barrier_request -> "BARRIER_REQUEST"
   | Barrier_reply -> "BARRIER_REPLY"
 
@@ -274,6 +275,11 @@ let error_type_of_code = function
   | 4 -> Some Port_mod_failed
   | 5 -> Some Queue_op_failed
   | _ -> None
+
+(* OFPSF_REPLY_MORE: more parts of this stats reply follow *)
+let reply_more = 0x0001
+
+let flow_stats_size fs = 88 + Ofp_action.list_size fs.fs_actions
 
 let encode_phy_port w p =
   Wire.Writer.u16 w p.port_no;
@@ -405,7 +411,7 @@ let encode_body w = function
       Wire.Writer.u16 w stats_type;
       Wire.Writer.u16 w 0 (* flags *);
       Wire.Writer.string w (Wire.Writer.contents body))
-  | Stats_reply reply -> (
+  | (Stats_reply reply | Stats_reply_more reply) as msg -> (
       let stats_type, body =
         let bw = Wire.Writer.create () in
         match reply with
@@ -419,8 +425,7 @@ let encode_body w = function
         | Flow_stats_reply entries ->
             List.iter
               (fun fs ->
-                let entry_len = 88 + Ofp_action.list_size fs.fs_actions in
-                Wire.Writer.u16 bw entry_len;
+                Wire.Writer.u16 bw (flow_stats_size fs);
                 Wire.Writer.u8 bw fs.fs_table_id;
                 Wire.Writer.u8 bw 0;
                 Ofp_match.encode bw fs.fs_match;
@@ -477,13 +482,22 @@ let encode_body w = function
             (4, bw)
       in
       Wire.Writer.u16 w stats_type;
-      Wire.Writer.u16 w 0 (* flags *);
+      Wire.Writer.u16 w (match msg with Stats_reply_more _ -> reply_more | _ -> 0);
       Wire.Writer.string w (Wire.Writer.contents body))
+
+exception Encode_error of string
+
+let max_length = 0xffff
 
 let encode ~xid t =
   let body = Wire.Writer.create ~initial_capacity:64 () in
   encode_body body t;
   let body = Wire.Writer.contents body in
+  if 8 + String.length body > max_length then
+    raise
+      (Encode_error
+         (Printf.sprintf "openflow: %s of %d bytes does not fit the u16 length field"
+            (type_name t) (8 + String.length body)));
   let w = Wire.Writer.create ~initial_capacity:(8 + String.length body) () in
   Wire.Writer.u8 w version;
   Wire.Writer.u8 w (type_code t);
@@ -491,6 +505,38 @@ let encode ~xid t =
   Wire.Writer.u32 w xid;
   Wire.Writer.string w body;
   Wire.Writer.contents w
+
+(* Greedy split at entry boundaries: each part's entries fit in what a
+   message leaves after the 8-byte header and the 4-byte stats header. *)
+let stats_reply_parts = function
+  | Flow_stats_reply entries ->
+      let room = max_length - 12 in
+      let rec go part size parts = function
+        | [] -> List.rev (List.rev part :: parts)
+        | fs :: rest ->
+            let n = flow_stats_size fs in
+            if part <> [] && size + n > room then go [ fs ] n (List.rev part :: parts) rest
+            else go (fs :: part) (size + n) parts rest
+      in
+      let parts = go [] 0 [] entries in
+      let last = List.length parts - 1 in
+      List.mapi
+        (fun i part ->
+          if i < last then Stats_reply_more (Flow_stats_reply part)
+          else Stats_reply (Flow_stats_reply part))
+        parts
+  | reply -> [ Stats_reply reply ]
+
+let join_stats_replies = function
+  | [] -> invalid_arg "Ofp_message.join_stats_replies: no parts"
+  | [ reply ] -> reply
+  | Flow_stats_reply _ :: _ as parts ->
+      Flow_stats_reply (List.concat_map (function Flow_stats_reply e -> e | _ -> []) parts)
+  | Table_stats_reply _ :: _ as parts ->
+      Table_stats_reply (List.concat_map (function Table_stats_reply e -> e | _ -> []) parts)
+  | Port_stats_reply _ :: _ as parts ->
+      Port_stats_reply (List.concat_map (function Port_stats_reply e -> e | _ -> []) parts)
+  | (Desc_reply _ | Aggregate_reply _) :: _ as parts -> List.nth parts (List.length parts - 1)
 
 (* ------------------------------------------------------------------ *)
 (* Decoding                                                            *)
@@ -562,9 +608,7 @@ let decode_flow_stats_entries r =
 let strip_nul s =
   match String.index_opt s '\000' with Some i -> String.sub s 0 i | None -> s
 
-let decode_stats_reply r =
-  let stats_type = Wire.Reader.u16 r ~field:"stats.type" in
-  let _flags = Wire.Reader.u16 r ~field:"stats.flags" in
+let decode_stats_body r stats_type =
   match stats_type with
   | 0 ->
       let mfr_desc = strip_nul (Wire.Reader.bytes r ~field:"desc.mfr" 256) in
@@ -626,6 +670,12 @@ let decode_stats_reply r =
       let* entries = loop [] in
       Ok (Port_stats_reply entries)
   | n -> Error (Printf.sprintf "stats_reply: unknown type %d" n)
+
+let decode_stats_reply r =
+  let stats_type = Wire.Reader.u16 r ~field:"stats.type" in
+  let flags = Wire.Reader.u16 r ~field:"stats.flags" in
+  let* reply = decode_stats_body r stats_type in
+  Ok (if flags land reply_more <> 0 then Stats_reply_more reply else Stats_reply reply)
 
 let decode_body type_code r =
   match type_code with
@@ -743,8 +793,7 @@ let decode_body type_code r =
       let* req = decode_stats_request r in
       Ok (Stats_request req)
   | 17 ->
-      let* reply = decode_stats_reply r in
-      Ok (Stats_reply reply)
+      decode_stats_reply r
   | 18 -> Ok Barrier_request
   | 19 -> Ok Barrier_reply
   | n -> Error (Printf.sprintf "openflow: unknown message type %d" n)

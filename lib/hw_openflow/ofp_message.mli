@@ -191,13 +191,35 @@ type t =
   | Port_mod of port_mod
   | Stats_request of stats_request
   | Stats_reply of stats_reply
+      (** A whole reply, or the last part of a multipart one. *)
+  | Stats_reply_more of stats_reply
+      (** A part with [OFPSF_REPLY_MORE] set: more parts follow under
+          the same xid. *)
   | Barrier_request
   | Barrier_reply
 
 val type_name : t -> string
 
+exception Encode_error of string
+
+val max_length : int
+(** 65535: the largest message the u16 header length can describe. *)
+
 val encode : xid:int32 -> t -> string
-(** Full message including the 8-byte OpenFlow header. *)
+(** Full message including the 8-byte OpenFlow header. Raises
+    {!Encode_error} when the message exceeds {!max_length} instead of
+    writing a wrapped length. *)
+
+val stats_reply_parts : stats_reply -> t list
+(** The messages that carry [reply]: a flow-stats reply too large for
+    one message is split at entry boundaries into parts of at most
+    {!max_length} bytes, each but the last a {!Stats_reply_more}; any
+    other reply is one {!Stats_reply}. *)
+
+val join_stats_replies : stats_reply list -> stats_reply
+(** Reassembles the parts of one multipart reply, in arrival order:
+    entry lists are concatenated; a single-part reply is returned as
+    is. Raises [Invalid_argument] on an empty list. *)
 
 val decode : string -> (int32 * t, string) result
 (** Decodes one complete message. *)

@@ -496,6 +496,54 @@ let test_status_endpoint () =
   Alcotest.(check int) "device count" 2 (Json.to_int (Json.member "devices" j));
   Alcotest.(check bool) "packet_ins positive" true (Json.to_int (Json.member "packet_ins" j) > 0)
 
+(* 2048 installed flows: the 1 s flow-stats reply no longer fits one
+   OpenFlow message. It must arrive in parts without dropping the
+   controller channel (a reconnect would wipe the flow table), and the
+   poll must write one Flows row per flow that saw traffic. *)
+let test_large_flow_stats_poll () =
+  let home = Home.create () in
+  Home.run_for home 0.5;
+  let r = Home.router home in
+  Hw_sim.Internet.set_response_factor (Home.internet home) ~port:9000 0.;
+  let conn =
+    match Hw_controller.Controller.connections (Router.controller r) with
+    | [ c ] -> c
+    | _ -> Alcotest.fail "expected one datapath connection"
+  in
+  let n = 2048 in
+  let frames =
+    List.init n (fun i ->
+        let frame =
+          Packet.encode
+            (Packet.udp_packet ~src_mac:(mac 1) ~dst_mac:Hw_sim.Internet.mac
+               ~src_ip:(Ip.of_octets 10 0 0 2)
+               ~dst_ip:(Ip.add (Ip.of_octets 100 100 0 0) i)
+               ~src_port:30000 ~dst_port:9000 "x")
+        in
+        let fields =
+          match Packet.decode frame with
+          | Ok p -> Hw_openflow.Ofp_match.fields_of_packet ~in_port:Router.wireless_port p
+          | Error e -> Alcotest.fail e
+        in
+        Hw_controller.Controller.install_flow conn
+          (Hw_openflow.Ofp_match.exact_of_fields fields)
+          [ Hw_openflow.Ofp_action.output Router.upstream_port ];
+        frame)
+  in
+  Alcotest.(check int) "flows installed" n (Router.flows_installed r);
+  List.iter (Router.receive_frame r ~in_port:Router.wireless_port) frames;
+  let flows = Option.get (Hw_hwdb.Database.table (Router.db r) "Flows") in
+  let before = Hw_hwdb.Table.total_inserted flows in
+  Home.run_for home 2.;
+  let leaves =
+    Hw_metrics.Counter.value
+      (Hw_metrics.Registry.counter (Router.metrics r) "ctrl_datapath_leave_total")
+  in
+  Alcotest.(check int) "channel stays up" 0 leaves;
+  Alcotest.(check int) "flow table kept" n (Router.flows_installed r);
+  Alcotest.(check int) "one Flows row per flow" n
+    (Hw_hwdb.Table.total_inserted flows - before)
+
 let () =
   Alcotest.run "integration"
     [
@@ -536,6 +584,7 @@ let () =
         [
           Alcotest.test_case "flows idle out" `Quick test_flows_idle_out;
           Alcotest.test_case "nat mode" `Quick test_nat_mode;
+          Alcotest.test_case "2048-flow stats poll" `Quick test_large_flow_stats_poll;
           Alcotest.test_case "one-hour soak" `Slow test_soak_one_hour_bounded_state;
         ] );
     ]

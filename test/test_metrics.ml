@@ -307,6 +307,88 @@ let test_metrics_table () =
   | Some v -> Alcotest.(check (float 0.)) "tick counter advanced" 2.0 v
   | None -> Alcotest.fail "hwdb_ticks_total not exported"
 
+(* The exports are stale-until-read: a tick only marks them stale, the
+   first reader after it renders one batch, later reads in the same tick
+   reuse it. *)
+
+let inserted db name = Hw_hwdb.Table.total_inserted (Option.get (Database.table db name))
+
+let select db q = match Database.query db q with Ok rs -> rs | Error e -> Alcotest.fail e
+
+let test_idle_exports_render_nothing () =
+  let home = Home.standard_home ~seed:11 () in
+  Home.run_for home 30.;
+  let r = Home.router home in
+  Alcotest.(check bool) "the flight recorder has traces to export" true
+    (Hw_trace.Tracer.traces (Router.tracer r) <> []);
+  Alcotest.(check int) "no Metrics rows without a reader" 0 (inserted (Router.db r) "Metrics");
+  Alcotest.(check int) "no Traces rows without a reader" 0 (inserted (Router.db r) "Traces")
+
+let test_exports_render_once_per_tick () =
+  let t = ref 1. in
+  let db = Database.create ~metrics:(Registry.create ()) ~now:(fun () -> !t) () in
+  Database.tick db;
+  let q = "SELECT name, stat, value FROM Metrics [NOW]" in
+  let first = select db q in
+  let batch = inserted db "Metrics" in
+  Alcotest.(check bool) "the first read renders" true (batch > 0);
+  Alcotest.(check int) "[NOW] is that batch" batch (List.length first.Query.rows);
+  (* a plan-cache hit, then a miss on new text: both reuse the batch *)
+  let again = select db q in
+  ignore (select db "SELECT name FROM Metrics [NOW] WHERE stat = 'value'");
+  Alcotest.(check int) "two reads in one tick render one batch" batch (inserted db "Metrics");
+  Alcotest.(check int) "the second read sees the same batch" batch (List.length again.Query.rows);
+  t := 2.;
+  Database.tick db;
+  let fresh = select db q in
+  let added = inserted db "Metrics" - batch in
+  Alcotest.(check bool) "a read after the next tick renders afresh" true (added > 0);
+  Alcotest.(check int) "[NOW] is exactly the fresh batch" added (List.length fresh.Query.rows);
+  (match metrics_value fresh ~metric:"hwdb_ticks_total" ~stat:"value" with
+  | Some v -> Alcotest.(check (float 0.)) "values as of the reader" 2. v
+  | None -> Alcotest.fail "hwdb_ticks_total not exported");
+  match metrics_value fresh ~metric:"hwdb_queries_total" ~stat:"value" with
+  | Some v -> Alcotest.(check (float 0.)) "earlier reads counted, not this one" 3. v
+  | None -> Alcotest.fail "hwdb_queries_total not exported"
+
+let test_export_views () =
+  let t = ref 1. in
+  let db = Database.create ~metrics:(Registry.create ()) ~now:(fun () -> !t) () in
+  Database.record_lease db ~mac:"aa:bb:cc:dd:ee:01" ~ip:"10.0.0.2" ~hostname:"h" ~action:"grant";
+  let sub q =
+    let got = ref None in
+    let query =
+      match Hw_hwdb.Parser.parse_select q with Ok sel -> sel | Error e -> Alcotest.fail e
+    in
+    ignore (Database.subscribe db ~query ~period:1. ~callback:(fun rs -> got := Some rs));
+    got
+  in
+  (* a single-table view is maintained incrementally off the insert
+     stream; the join re-executes its plan *)
+  let inc = sub "SELECT name, stat, value FROM Metrics [NOW]" in
+  let join =
+    sub
+      "SELECT m.value, l.hostname FROM Metrics m, Leases l [NOW] WHERE m.name = \
+       'hwdb_ticks_total' AND m.stat = 'value'"
+  in
+  t := 2.;
+  Database.record_lease db ~mac:"aa:bb:cc:dd:ee:01" ~ip:"10.0.0.2" ~hostname:"h" ~action:"renew";
+  Database.tick db;
+  let batch = inserted db "Metrics" in
+  Alcotest.(check bool) "the views' tick rendered a batch" true (batch > 0);
+  (match !inc with
+  | Some rs -> (
+      Alcotest.(check int) "incremental view sees the batch" batch (List.length rs.Query.rows);
+      match metrics_value rs ~metric:"hwdb_ticks_total" ~stat:"value" with
+      | Some v -> Alcotest.(check (float 0.)) "incremental view: live tick count" 1. v
+      | None -> Alcotest.fail "hwdb_ticks_total missing from the view")
+  | None -> Alcotest.fail "incremental view not delivered");
+  match !join with
+  | Some { Query.rows = [ [ Value.Real v; Value.Str "h" ] ]; _ } ->
+      Alcotest.(check (float 0.)) "join view sees the same batch" 1. v
+  | Some _ -> Alcotest.fail "join view: expected one row"
+  | None -> Alcotest.fail "join view not delivered"
+
 (* ------------------------------------------------------------------ *)
 (* End to end: a running home exports live counters on every surface   *)
 (* ------------------------------------------------------------------ *)
@@ -500,5 +582,8 @@ let () =
         [
           Alcotest.test_case "hwdb Metrics table" `Quick test_metrics_table;
           Alcotest.test_case "home end to end" `Quick test_home_metrics_end_to_end;
+          Alcotest.test_case "idle exports render nothing" `Quick test_idle_exports_render_nothing;
+          Alcotest.test_case "one batch per tick" `Quick test_exports_render_once_per_tick;
+          Alcotest.test_case "views over an export" `Quick test_export_views;
         ] );
     ]

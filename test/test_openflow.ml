@@ -314,6 +314,50 @@ let test_stats_roundtrips () =
       Alcotest.(check int64) "tx bytes" 4L ps.Ofp_message.tx_bytes
   | _ -> Alcotest.fail "wrong port stats"
 
+(* 2048 flow-stats entries are ~200 KB: more than one message's u16
+   length can say. The reply goes out in OFPSF_REPLY_MORE parts, each
+   under the limit, and the parts join back into the whole reply. *)
+let test_stats_multipart_roundtrip () =
+  let entry i =
+    {
+      Ofp_message.fs_table_id = 0;
+      fs_match = Ofp_match.exact_of_fields sample_fields;
+      fs_duration_sec = 1l;
+      fs_duration_nsec = 0l;
+      fs_priority = 100;
+      fs_idle_timeout = 0;
+      fs_hard_timeout = 0;
+      fs_cookie = Int64.of_int i;
+      fs_packet_count = 1L;
+      fs_byte_count = 64L;
+      fs_actions = [ Ofp_action.output 1 ];
+    }
+  in
+  let reply = Ofp_message.Flow_stats_reply (List.init 2048 entry) in
+  (match Ofp_message.encode ~xid:1l (Ofp_message.Stats_reply reply) with
+  | _ -> Alcotest.fail "oversize message encoded"
+  | exception Ofp_message.Encode_error _ -> ());
+  let parts = Ofp_message.stats_reply_parts reply in
+  Alcotest.(check bool) "split" true (List.length parts > 1);
+  let decoded =
+    List.mapi
+      (fun i part ->
+        let bytes = Ofp_message.encode ~xid:7l part in
+        Alcotest.(check bool) "part fits" true (String.length bytes <= Ofp_message.max_length);
+        match (Ofp_message.decode bytes, i = List.length parts - 1) with
+        | Ok (7l, Ofp_message.Stats_reply r), true | Ok (7l, Ofp_message.Stats_reply_more r), false -> r
+        | Ok _, _ -> Alcotest.fail "REPLY_MORE must flag every part but the last"
+        | Error e, _ -> Alcotest.fail e)
+      parts
+  in
+  match Ofp_message.join_stats_replies decoded with
+  | Ofp_message.Flow_stats_reply entries ->
+      Alcotest.(check (list int64))
+        "every entry, in order"
+        (List.init 2048 Int64.of_int)
+        (List.map (fun fs -> fs.Ofp_message.fs_cookie) entries)
+  | _ -> Alcotest.fail "wrong stats"
+
 let test_port_mod_roundtrip () =
   let msg =
     Ofp_message.Port_mod
@@ -475,6 +519,7 @@ let () =
           Alcotest.test_case "packet out" `Quick test_packet_out_roundtrip;
           Alcotest.test_case "flow removed" `Quick test_flow_removed_roundtrip;
           Alcotest.test_case "stats" `Quick test_stats_roundtrips;
+          Alcotest.test_case "multipart stats" `Quick test_stats_multipart_roundtrip;
           Alcotest.test_case "port mod" `Quick test_port_mod_roundtrip;
           Alcotest.test_case "error" `Quick test_error_roundtrip;
           Alcotest.test_case "bad version" `Quick test_bad_version_rejected;

@@ -239,6 +239,36 @@ let test_log_stamps_trace () =
   Log.set_output (Some Format.err_formatter)
 
 (* ------------------------------------------------------------------ *)
+(* The Traces export: rendered by its first reader after a tick        *)
+(* ------------------------------------------------------------------ *)
+
+let test_traces_export_on_read () =
+  let tracer, t = make () in
+  let db =
+    Database.create ~metrics:(Hw_metrics.Registry.create ()) ~trace:tracer
+      ~now:(fun () -> !t) ()
+  in
+  let traces = Option.get (Database.table db "Traces") in
+  let rows () =
+    match Database.query db "SELECT trace_id, span FROM Traces [NOW]" with
+    | Ok rs -> List.length rs.Query.rows
+    | Error e -> Alcotest.fail e
+  in
+  Tracer.with_trace tracer "one" (fun () -> Tracer.with_span tracer "child" (fun () -> ()));
+  Alcotest.(check int) "no export before the first tick" 0 (rows ());
+  t := 1.;
+  Database.tick db;
+  Alcotest.(check int) "ticks alone render nothing" 0 (Hw_hwdb.Table.total_inserted traces);
+  Alcotest.(check int) "the first read renders the recorder" 2 (rows ());
+  Alcotest.(check int) "a second read in the tick reuses the batch" 2 (rows ());
+  Alcotest.(check int) "one batch rendered" 2 (Hw_hwdb.Table.total_inserted traces);
+  Tracer.with_trace tracer "two" (fun () -> ());
+  t := 2.;
+  Database.tick db;
+  Alcotest.(check int) "a read after the next tick sees the fresh recorder" 3 (rows ());
+  Alcotest.(check int) "one more batch" 5 (Hw_hwdb.Table.total_inserted traces)
+
+(* ------------------------------------------------------------------ *)
 (* End to end: one DHCP handshake, one causal chain, three surfaces    *)
 (* ------------------------------------------------------------------ *)
 
@@ -470,6 +500,8 @@ let () =
         ] );
       ( "log",
         [ Alcotest.test_case "stamps trace id" `Quick test_log_stamps_trace ] );
+      ( "hwdb export",
+        [ Alcotest.test_case "traces export on read" `Quick test_traces_export_on_read ] );
       ( "end to end",
         [ Alcotest.test_case "home dhcp causal chain" `Quick test_home_trace_end_to_end ] );
     ]
